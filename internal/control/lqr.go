@@ -176,6 +176,33 @@ func Design(cfg DesignConfig) (FlowGains, error) {
 	return g, nil
 }
 
+// DesignMemo memoizes Design by configuration. Every PE with the same
+// buffer size and weights solves the same DARE, so a deployment builder
+// designs once per distinct configuration and shares the result. The
+// shared gains' Lambda and Mu slices are read-only: FlowController only
+// reads them. The zero value is ready to use; a DesignMemo is not safe
+// for concurrent use.
+type DesignMemo struct {
+	gains map[DesignConfig]FlowGains
+}
+
+// Design returns Design(cfg), solving it only on the first request for
+// cfg. Failed designs are not memoized.
+func (d *DesignMemo) Design(cfg DesignConfig) (FlowGains, error) {
+	if g, ok := d.gains[cfg]; ok {
+		return g, nil
+	}
+	g, err := Design(cfg)
+	if err != nil {
+		return g, err
+	}
+	if d.gains == nil {
+		d.gains = make(map[DesignConfig]FlowGains)
+	}
+	d.gains[cfg] = g
+	return g, nil
+}
+
 // ClosedLoopRadius returns the spectral radius of the closed loop formed by
 // the gains acting on the delayed buffer integrator. A radius < 1 means the
 // loop is asymptotically stable: from any initial buffer level the error

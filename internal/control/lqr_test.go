@@ -2,6 +2,7 @@ package control
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -326,5 +327,45 @@ func TestDesignSettlingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// DesignMemo returns exactly Design's gains, solves each configuration
+// once (repeat requests share the slices), and the controllers built from
+// shared gains evolve independently without writing to them.
+func TestDesignMemoSharesReadOnlyGains(t *testing.T) {
+	var memo DesignMemo
+	cfgA, cfgB := DefaultDesign(512), DefaultDesign(25)
+	a1, err := memo.Design(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Design(cfgA)
+	if !reflect.DeepEqual(a1, want) {
+		t.Fatalf("memoized gains %+v differ from Design's %+v", a1, want)
+	}
+	a2, _ := memo.Design(cfgA)
+	if &a1.Lambda[0] != &a2.Lambda[0] || &a1.Mu[0] != &a2.Mu[0] {
+		t.Fatal("a repeated configuration was designed again instead of shared")
+	}
+	b, _ := memo.Design(cfgB)
+	if b.B0 != 25 || &b.Lambda[0] == &a1.Lambda[0] {
+		t.Fatalf("a distinct configuration reused another's gains: %+v", b)
+	}
+	if _, err := memo.Design(DesignConfig{}); err == nil {
+		t.Fatal("an invalid configuration designed without error")
+	}
+
+	f1, _ := NewFlowController(a1, 0)
+	f2, _ := NewFlowController(a2, 0)
+	for i := 0; i < 50; i++ {
+		f1.Update(100, float64(900-10*i))
+	}
+	if !reflect.DeepEqual(a2, want) {
+		t.Fatalf("running one controller changed the shared gains: %+v", a2)
+	}
+	solo, _ := NewFlowController(want, 0)
+	if got, ref := f2.Update(80, 300), solo.Update(80, 300); got != ref {
+		t.Fatalf("controller on shared gains advertised %v, on private gains %v", got, ref)
 	}
 }

@@ -135,6 +135,12 @@ func (r *Ring[T]) Len() int {
 	return n
 }
 
+// Pushed returns the number of elements ever admitted: the enqueue
+// cursor, which advances once per successful push and never on a failed
+// one. It is exact under any number of producers; a consumer that reads
+// it twice gets the admissions in between from one atomic load each.
+func (r *Ring[T]) Pushed() uint64 { return r.head.Load() }
+
 // Closed reports whether Close has been called.
 func (r *Ring[T]) Closed() bool { return r.closed.Load() }
 

@@ -450,3 +450,89 @@ func TestParkedPushWokenByTryPop(t *testing.T) {
 		r.TryPop()
 	}
 }
+
+// Pushed counts admissions only: a TryPush refused for a full or closed
+// ring must leave it unchanged, in every mode.
+func TestPushedSkipsFailedPushes(t *testing.T) {
+	for _, mode := range []Mode{MPMC, SPSC, SingleProducer, SingleConsumer} {
+		r := New[int](3, mode)
+		for i := 0; i < 5; i++ {
+			r.TryPush(i) // the last two are refused: the ring is full
+		}
+		if got := r.Pushed(); got != 3 {
+			t.Fatalf("mode %d: Pushed = %d after 3 admits and 2 refusals, want 3", mode, got)
+		}
+		if _, ok := r.TryPop(); !ok {
+			t.Fatalf("mode %d: pop failed on a full ring", mode)
+		}
+		if !r.Push(context.Background(), 9) {
+			t.Fatalf("mode %d: blocking push refused with room", mode)
+		}
+		if got := r.Pushed(); got != 4 {
+			t.Fatalf("mode %d: Pushed = %d, want 4 (pops do not count, blocking pushes do)", mode, got)
+		}
+		r.Close()
+		if r.TryPush(10) {
+			t.Fatalf("mode %d: push admitted after Close", mode)
+		}
+		if got := r.Pushed(); got != 4 {
+			t.Fatalf("mode %d: Pushed = %d after a refused post-Close push, want 4", mode, got)
+		}
+	}
+}
+
+// Under concurrent producers racing a consumer on a small ring (so many
+// pushes are refused), Pushed must equal the successful TryPush calls
+// exactly, and everything admitted must be popped or still queued.
+func TestPushedExactUnderConcurrentProducers(t *testing.T) {
+	const producers, perProducer = 8, 4000
+	for _, mode := range []Mode{MPMC, SingleConsumer} {
+		for iter := 0; iter < 10; iter++ {
+			r := New[int](16, mode)
+			var admitted [producers]uint64
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for i := 0; i < perProducer; i++ {
+						if r.TryPush(i) {
+							admitted[p]++
+						}
+					}
+				}(p)
+			}
+			done := make(chan struct{})
+			popped := make(chan uint64)
+			go func() {
+				var n uint64
+				for {
+					if _, ok := r.TryPop(); ok {
+						n++
+						continue
+					}
+					select {
+					case <-done:
+						popped <- n
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+			}()
+			wg.Wait()
+			close(done)
+			n := <-popped
+			var want uint64
+			for _, a := range admitted {
+				want += a
+			}
+			if got := r.Pushed(); got != want {
+				t.Fatalf("mode %d iter %d: Pushed = %d, successful pushes = %d", mode, iter, got, want)
+			}
+			if n+uint64(r.Len()) != want {
+				t.Fatalf("mode %d iter %d: popped %d + queued %d != admitted %d", mode, iter, n, r.Len(), want)
+			}
+		}
+	}
+}

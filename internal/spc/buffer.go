@@ -49,6 +49,11 @@ func (b *Buffer) Len() int { return b.r.Len() }
 // Cap returns the capacity.
 func (b *Buffer) Cap() int { return b.r.Cap() }
 
+// Pushed returns the number of SDOs ever admitted (failed pushes are not
+// counted). The Δt scheduler differences it across ticks to measure each
+// PE's arrival rate.
+func (b *Buffer) Pushed() uint64 { return b.r.Pushed() }
+
 // TryPush appends s if space is available and reports success.
 func (b *Buffer) TryPush(s sdo.SDO) bool { return b.r.TryPush(s) }
 

@@ -87,9 +87,10 @@ func (c *Cluster) StartFailover(fc FailoverConfig) error {
 			}
 			term, err := c.ClaimControl()
 			if err != nil {
-				// Only a malformed warm start can land here, and the claim
-				// re-installs the ALREADY-INSTALLED set — so this is
-				// unreachable short of memory corruption. Keep watching.
+				// A higher term from another process outranked the claim
+				// (its frames refresh the silence clock), or the warm start
+				// was malformed — unreachable, since the claim re-installs
+				// the ALREADY-INSTALLED set. Keep watching.
 				continue
 			}
 			if fc.OnClaim != nil {
@@ -112,28 +113,31 @@ func (c *Cluster) StartFailover(fc FailoverConfig) error {
 // the deposed controller sends afterward. Warm-starting from the applied
 // set makes the takeover itself a no-op for the data plane; the adaptive
 // loop then evolves targets from there. Safe to call concurrently with
-// in-flight SetTargets/Inject*/Broadcast traffic: a lost install race is
-// retried against the new incumbent. Returns the claimed term.
+// in-flight SetTargets/Inject*/Broadcast traffic: the term is raised
+// exactly once per claim, and a lost install race (a concurrent install
+// took the next epoch) retries only the epoch against the new incumbent.
+// A claim outranked by a higher term from another process before its
+// install lands fails with ErrDeposedTerm. Returns the claimed term.
 func (c *Cluster) ClaimControl() (uint64, error) {
+	cur := c.targets.Load()
+	term := cur.term
+	if ct := c.ctrlTerm.Load(); ct > term {
+		term = ct
+	}
+	term++
+	// Raise ctrlTerm monotonically (CAS-max): concurrent claims or a
+	// racing SetTargets must never observe the term moving backward.
 	for {
-		cur := c.targets.Load()
-		term := cur.term
-		if ct := c.ctrlTerm.Load(); ct > term {
-			term = ct
+		old := c.ctrlTerm.Load()
+		if old >= term {
+			term = old
+			break
 		}
-		term++
-		// Raise ctrlTerm monotonically (CAS-max): concurrent claims or a
-		// racing SetTargets must never observe the term moving backward.
-		for {
-			old := c.ctrlTerm.Load()
-			if old >= term {
-				term = old
-				break
-			}
-			if c.ctrlTerm.CompareAndSwap(old, term) {
-				break
-			}
+		if c.ctrlTerm.CompareAndSwap(old, term) {
+			break
 		}
+	}
+	for {
 		var err error
 		if cur.rep != nil {
 			err = c.SetReplicaTargets(cur.epoch+1, cur.rep)
@@ -148,9 +152,10 @@ func (c *Cluster) ClaimControl() (uint64, error) {
 			}
 			return term, nil
 		}
-		if errors.Is(err, ErrStaleEpoch) {
-			// Lost the install race (a concurrent claim or a late frame
-			// from a higher term landed first); retry against it.
+		if errors.Is(err, ErrStaleEpoch) && !errors.Is(err, ErrDeposedTerm) {
+			// A concurrent install under this process's term took the
+			// epoch; retry one past it, keeping the term.
+			cur = c.targets.Load()
 			continue
 		}
 		return 0, err

@@ -221,6 +221,25 @@ type peRuntime struct {
 	// under the last applied epoch (scheduler-owned; drives the drain on
 	// an active → inactive transition).
 	wasActive bool
+	// pushedSeen is the buffer's admission count at the previous tick and
+	// arrRate an EWMA of admissions per nominal Δt: the arrivals the next
+	// grant plans for on top of the backlog.
+	pushedSeen uint64
+	arrRate    float64
+}
+
+// arrivalWeight is the weight of the newest tick's admissions in a PE's
+// arrival-rate EWMA: a rate step settles within a few ticks while one
+// tick's timer jitter is halved.
+const arrivalWeight = 0.5
+
+// observeArrivals folds the admissions since the last tick into the
+// arrival-rate EWMA — one atomic load of the buffer's enqueue cursor.
+func (p *peRuntime) observeArrivals(elapsedTicks float64) {
+	pushed := p.buf.Pushed()
+	n := float64(pushed - p.pushedSeen)
+	p.pushedSeen = pushed
+	p.arrRate += arrivalWeight * (n/elapsedTicks - p.arrRate)
 }
 
 // occupancy counts buffered plus held SDOs.
@@ -533,6 +552,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.replicas = make([][]*peRuntime, t.NumPEs())
+	// Slots with equal buffer sizes share one LQR design.
+	var designs control.DesignMemo
 	for j := 0; j < t.NumPEs(); j++ {
 		pe := &t.PEs[j]
 		place := t.ReplicaPlacement(sdo.PEID(j))
@@ -613,7 +634,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				pr.model = syn
 			}
 			if cfg.Policy.UsesFeedback() {
-				gains, err := control.Design(control.DesignConfig{
+				gains, err := designs.Design(control.DesignConfig{
 					Delay: 2, QWeight: cfg.QWeight, RWeight: cfg.RWeight, Smoothing: 1,
 					B0: cfg.B0Frac * float64(bufCap),
 				})
@@ -1135,6 +1156,10 @@ func (c *Cluster) schedulerTick(peers []*peRuntime, scr *schedScratch, now, dt f
 	ticks := scr.ticks[:len(peers)]
 	costs := scr.costs[:len(peers)]
 	for i, pr := range peers {
+		// Track arrivals on every slot, parked and dormant ones included,
+		// so a slot that wakes up does not read its idle period's
+		// admissions as one tick's burst.
+		pr.observeArrivals(elapsedTicks)
 		if pr.breaker.Load() {
 			if !pr.parked {
 				c.parkPE(pr, pol)
@@ -1161,7 +1186,11 @@ func (c *Cluster) schedulerTick(peers []*peRuntime, scr *schedScratch, now, dt f
 			pr.gOcc.Set(occ)
 			pr.gTokens.Set(pr.bucket.Level())
 		}
-		work := occ * cost / dt
+		// Work covers the backlog plus the SDOs expected to arrive during
+		// the coming period: SDOs admit continuously between ticks, and a
+		// backlog-only grant would make each of them wait for the next
+		// tick and cap the PE at one buffer's worth of SDOs per Δt.
+		work := (occ + pr.arrRate*elapsedTicks) * cost / dt
 		capFrac := math.Inf(1)
 		mult := 1.0
 		if syn, ok := pr.proc.(*Synthetic); ok {

@@ -321,8 +321,11 @@ type Engine struct {
 	delivered []int64
 	// scratch buffers reused across ticks (step() runs 100×/simulated
 	// second × nodes; per-tick allocation would dominate the profile).
+	// Each node owns a Planner; the allocation slice it returns aliases
+	// that planner's scratch and stays valid until the node's next plan.
 	scratchTicks  [][]controller.PETick
 	scratchAllocs [][]float64
+	planners      []controller.Planner
 	// Network model state: per-node remaining egress budget this tick and
 	// the transit ring buffer (slot per tick of delay).
 	netBudget []float64
@@ -361,6 +364,8 @@ func New(cfg Config) (*Engine, error) {
 	e.nodes = make([][]*peState, t.NumNodes)
 	e.pes = make([]*peState, t.NumPEs())
 	e.delivered = make([]int64, t.NumPEs())
+	// PEs with equal buffer sizes share one LQR design.
+	var designs control.DesignMemo
 	for j := 0; j < t.NumPEs(); j++ {
 		pe := &t.PEs[j]
 		bufCap := t.BufferSize(sdo.PEID(j))
@@ -394,7 +399,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		if cfg.Policy.UsesFeedback() {
 			b0 := cfg.B0Frac * float64(bufCap)
-			gains, err := control.Design(control.DesignConfig{
+			gains, err := designs.Design(control.DesignConfig{
 				Delay:     2,
 				QWeight:   cfg.QWeight,
 				RWeight:   cfg.RWeight,
@@ -506,6 +511,7 @@ func (e *Engine) step(now float64) {
 	if e.scratchTicks == nil {
 		e.scratchTicks = make([][]controller.PETick, len(e.nodes))
 		e.scratchAllocs = make([][]float64, len(e.nodes))
+		e.planners = make([]controller.Planner, len(e.nodes))
 	}
 	allocs := e.scratchAllocs
 	for n, peers := range e.nodes {
@@ -553,9 +559,10 @@ func (e *Engine) step(now float64) {
 				Blocked:   ps.blocked,
 			}
 		}
+		planner := &e.planners[n]
 		switch pol {
 		case policy.ACES, policy.ACESMinFlow:
-			allocs[n] = controller.PlanACES(ticks, 1)
+			allocs[n] = planner.PlanACES(ticks, 1)
 		case policy.ACESStrictCPU:
 			// Fold the feedback cap into work so strict enforcement still
 			// honours Eq. 8.
@@ -564,19 +571,19 @@ func (e *Engine) step(now float64) {
 					ticks[i].Work = ticks[i].Cap
 				}
 			}
-			allocs[n] = controller.PlanStrict(ticks, 1)
+			allocs[n] = planner.PlanStrict(ticks, 1)
 		case policy.UDP, policy.LoadShed:
 			// System 2 (and the load-shedding comparator) use traditional
 			// strict/velocity enforcement (§II):
 			// each PE gets at most its target each tick and unused slices
 			// are lost — no banking. Token accumulation is an ACES
 			// mechanism, not a baseline one.
-			allocs[n] = controller.PlanStrict(ticks, 1)
+			allocs[n] = planner.PlanStrict(ticks, 1)
 		default:
 			// System 3 (Lock-Step): targets enforced per tick; only the
 			// slices of sleeping (blocked) PEs are redistributed. No
 			// banking either.
-			allocs[n] = controller.PlanLockStep(ticks, 1)
+			allocs[n] = planner.PlanLockStep(ticks, 1)
 		}
 	}
 
