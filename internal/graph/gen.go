@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aces/internal/sdo"
@@ -182,6 +183,7 @@ func Generate(cfg GenConfig) (*Topology, error) {
 	// Wire each non-ingress layer to the previous layer: every PE picks
 	// 1 parent normally, 2..MaxFanIn with probability MultiIOFrac, among
 	// parents that still have fan-out budget.
+	var chosen []sdo.PEID
 	for li := 1; li < len(layers); li++ {
 		prev := layers[li-1]
 		for _, pe := range layers[li] {
@@ -189,32 +191,41 @@ func Generate(cfg GenConfig) (*Topology, error) {
 			if rng.Float64() < cfg.MultiIOFrac && cfg.MaxFanIn > 1 {
 				fanIn = 2 + rng.Intn(cfg.MaxFanIn-1)
 			}
-			// Candidate parents sorted by least out-degree so fan-out
-			// budget spreads evenly; ties broken randomly via Perm.
+			// Parents are tried by least out-degree so fan-out budget
+			// spreads evenly, ties broken randomly via Perm: one pass per
+			// out-degree bucket, each walking the permutation, which is
+			// the order of a stable sort of the permuted layer by
+			// out-degree. A parent wired in bucket d sits in bucket d+1
+			// by the time that bucket is walked, so it is skipped there.
 			perm := rng.Perm(len(prev))
-			cands := make([]sdo.PEID, len(prev))
-			for i, p := range perm {
-				cands[i] = prev[p]
+			chosen = chosen[:0]
+			for d := 0; d < cfg.MaxFanOut && len(chosen) < fanIn; d++ {
+				for _, i := range perm {
+					p := prev[i]
+					if outDeg[p] != d || slices.Contains(chosen, p) {
+						continue
+					}
+					if err := connect(p, pe); err != nil {
+						return nil, err
+					}
+					chosen = append(chosen, p)
+					if len(chosen) == fanIn {
+						break
+					}
+				}
 			}
-			sort.SliceStable(cands, func(a, b int) bool { return outDeg[cands[a]] < outDeg[cands[b]] })
-			wired := 0
-			for _, p := range cands {
-				if wired >= fanIn {
-					break
-				}
-				if outDeg[p] >= cfg.MaxFanOut {
-					continue
-				}
-				if err := connect(p, pe); err != nil {
-					return nil, err
-				}
-				wired++
-			}
-			if wired == 0 {
+			if len(chosen) == 0 {
 				// Every parent is at max fan-out: steal from the least
-				// loaded parent anyway (violating fan-out is better than a
+				// loaded parent anyway, the first of minimum out-degree in
+				// permutation order (violating fan-out is better than a
 				// starving PE; with paper parameters this never triggers).
-				if err := connect(cands[0], pe); err != nil {
+				least := prev[perm[0]]
+				for _, i := range perm[1:] {
+					if outDeg[prev[i]] < outDeg[least] {
+						least = prev[i]
+					}
+				}
+				if err := connect(least, pe); err != nil {
 					return nil, err
 				}
 			}

@@ -335,8 +335,7 @@ func SolveElastic(t *graph.Topology, cfg Config) (*ElasticAllocation, error) {
 	// so echoing bestObj would overstate what the returned Replica matrix
 	// achieves.
 	ws.forward(best)
-	rin := append([]float64(nil), ws.rin...)
-	rout := append([]float64(nil), ws.rout...)
+	rin, rout := ws.rates()
 	ea := &ElasticAllocation{
 		Replica:          make([][]float64, p),
 		CPU:              make([]float64, p),

@@ -46,7 +46,7 @@ package optimize
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"aces/internal/graph"
 	"aces/internal/sdo"
@@ -120,52 +120,111 @@ func utilityDeriv(u Utility, x float64) float64 {
 // branches, plus the reverse sweep. All scratch is allocated once per
 // Solve, so the hot ascent loop performs zero allocations per evaluation
 // (propagate itself re-allocates rate vectors and a join map every call).
+//
+// The model is laid out flat in topological order: the static terms and
+// the forward state are indexed by the PE's POSITION k in that order,
+// upstreams are a CSR of positions, and each PE names its first
+// decision-vector slot inline plus a CSR of any further ones (none in
+// plain mode, the other replica slots in elastic mode). The forward pass
+// then streams through memory in the order it computes, and plain and
+// elastic solves share one forward and one backward loop. The layout
+// changes where values live, not how they are combined: the per-PE
+// upstream sums run in Up() order, the objective sums in PE-id order and
+// the adjoint accumulates in reverse topological order, exactly as a walk
+// over t.PEs and t.Up does, so every result is bit-identical. The
+// decision vector, and so grad, stays indexed by PE id (or flat slot).
 type adjoint struct {
-	t     *graph.Topology
+	// order maps position → PE id.
 	order []sdo.PEID
-	// slotOf maps PE → flat slot indices for elastic solves; nil in plain
-	// mode, where the decision vector is indexed by PE.
-	slotOf [][]int
+	// terms holds each position's static model terms, snapshotted at
+	// construction, plus one sentinel closing the last CSR ranges.
+	terms []peTerm
+	// upPos: the upstream positions of position k are
+	// upPos[terms[k].up:terms[k+1].up], in Up() order.
+	upPos []int32
+	// extra: the decision-vector indices of position k beyond its first,
+	// terms[k].slot, are extra[terms[k].extra:terms[k+1].extra] — the
+	// replica slots of an elastic PE; empty in plain mode.
+	extra []int32
+	// weighted lists the positions of positive-weight PEs in PE-id order,
+	// the objective's summation order.
+	weighted []int32
 
-	// Static per-PE model terms, snapshotted at construction.
-	src  []float64 // direct source rate feeding each PE
-	cost []float64 // Service.EffectiveCost()
-	mult []float64 // MeanMult floored at 1
-
-	// Forward-pass state (valid after forward()).
+	// Forward-pass state by position (valid after forward()).
 	rin, rout []float64
 	capped    []bool  // capacity branch active (cap < flow strictly)
 	dead      []bool  // cap == flow == 0: rate pinned, adjoint drops
-	argmin    []int32 // producer of a join's minimum feed (-1 none)
+	argmin    []int32 // position of a join's minimum feed (-1 none)
 
-	adj []float64 // ∂obj/∂r̄_out scratch for the backward sweep
+	adj []float64 // ∂obj/∂r̄_out scratch for the backward sweep, by position
 	// evals counts forward propagations — the solver's dominant cost unit,
 	// reported as Allocation.Evals.
 	evals int
 }
 
+// peTerm is one PE's static model, stored at its topological position.
+type peTerm struct {
+	cost   float64 // Service.EffectiveCost()
+	over   float64 // Overhead
+	src    float64 // direct source rate feeding the PE
+	mult   float64 // MeanMult floored at 1
+	weight float64 // Weight when positive, else 0
+	up     int32   // first index of the PE's range in upPos
+	slot   int32   // the PE's first decision-vector index
+	extra  int32   // first index of the PE's range in extra
+	join   bool
+}
+
 // newAdjoint builds a workspace for the topology. slotOf selects elastic
-// mode (decision vector = flat replica slots); nil selects plain per-PE
-// mode.
+// mode (decision vector = flat replica slots, slotOf[j] listing PE j's);
+// nil selects plain per-PE mode, where PE j's one slot is j.
 func newAdjoint(t *graph.Topology, order []sdo.PEID, slotOf [][]int) *adjoint {
 	p := t.NumPEs()
 	a := &adjoint{
-		t: t, order: order, slotOf: slotOf,
-		src: make([]float64, p), cost: make([]float64, p), mult: make([]float64, p),
+		order: order, terms: make([]peTerm, p+1),
 		rin: make([]float64, p), rout: make([]float64, p),
 		capped: make([]bool, p), dead: make([]bool, p), argmin: make([]int32, p),
 		adj: make([]float64, p),
 	}
-	for _, s := range t.Sources {
-		a.src[s.Target] += s.Rate
+	pos := make([]int32, p)
+	for k, j := range order {
+		pos[j] = int32(k)
 	}
-	for j := range t.PEs {
-		a.cost[j] = t.PEs[j].Service.EffectiveCost()
-		m := t.PEs[j].Service.MeanMult
-		if m <= 0 {
-			m = 1
+	for _, s := range t.Sources {
+		a.terms[pos[s.Target]].src += s.Rate
+	}
+	for k, j := range order {
+		pe := &t.PEs[j]
+		tm := &a.terms[k]
+		tm.cost = pe.Service.EffectiveCost()
+		tm.over = pe.Overhead
+		tm.mult = pe.Service.MeanMult
+		if tm.mult <= 0 {
+			tm.mult = 1
 		}
-		a.mult[j] = m
+		if w := pe.Weight; w > 0 {
+			tm.weight = w
+		}
+		tm.join = pe.Join
+		tm.up = int32(len(a.upPos))
+		for _, u := range t.Up(j) {
+			a.upPos = append(a.upPos, pos[u])
+		}
+		tm.extra = int32(len(a.extra))
+		if slotOf == nil {
+			tm.slot = int32(j)
+		} else {
+			tm.slot = int32(slotOf[j][0])
+			for _, i := range slotOf[j][1:] {
+				a.extra = append(a.extra, int32(i))
+			}
+		}
+	}
+	a.terms[p].up, a.terms[p].extra = int32(len(a.upPos)), int32(len(a.extra))
+	for j := range t.PEs {
+		if t.PEs[j].Weight > 0 {
+			a.weighted = append(a.weighted, pos[j])
+		}
 	}
 	return a
 }
@@ -174,36 +233,34 @@ func newAdjoint(t *graph.Topology, order []sdo.PEID, slotOf [][]int) *adjoint {
 // every min(). Semantically identical to propagate/propagateElastic: in
 // topological order every upstream is settled before its consumers, so a
 // join's feeds are exactly the outputs of its upstream PEs and a non-join's
-// availability is its source rate plus the sum of upstream copies.
+// availability is its source rate plus the sum of upstream copies. A PE's
+// capacity sums max(0, x/cost − overhead) over its slots, starting from
+// the first slot's term (which is what 0 + term rounds to).
 func (a *adjoint) forward(x []float64) {
-	t := a.t
-	for _, j := range a.order {
-		pe := &t.PEs[j]
-		var cap float64
-		if a.slotOf == nil {
-			if v := x[j]/a.cost[j] - pe.Overhead; v > 0 {
-				cap = v
-			}
-		} else {
-			for _, i := range a.slotOf[j] {
-				if v := x[i]/a.cost[j] - pe.Overhead; v > 0 {
-					cap += v
-				}
-			}
+	// Locals, resliced to the PE count, let the compiler keep the slice
+	// headers in registers and drop the per-PE bounds checks.
+	terms, upPos, extra := a.terms, a.upPos, a.extra
+	n := len(terms) - 1
+	rin, rout, capped, dead, argmin := a.rin[:n], a.rout[:n], a.capped[:n], a.dead[:n], a.argmin[:n]
+	for k := 0; k < n; k++ {
+		tm, next := &terms[k], &terms[k+1]
+		cap := positive(x[tm.slot]/tm.cost - tm.over)
+		for _, i := range extra[tm.extra:next.extra] {
+			cap += positive(x[i]/tm.cost - tm.over)
 		}
+		ups := upPos[tm.up:next.up]
 		var flow float64
 		am := int32(-1)
-		if pe.Join {
-			ups := t.Up(j)
+		if tm.join {
 			if len(ups) > 0 {
 				flow = math.Inf(1)
 				ties := 0
 				for _, u := range ups {
-					if a.rout[u] < flow {
-						flow = a.rout[u]
-						am = int32(u)
+					if r := rout[u]; r < flow {
+						flow = r
+						am = u
 						ties = 1
-					} else if a.rout[u] == flow {
+					} else if r == flow {
 						ties++
 					}
 				}
@@ -213,34 +270,63 @@ func (a *adjoint) forward(x []float64) {
 				}
 			}
 		} else {
-			flow = a.src[j]
-			for _, u := range t.Up(j) {
-				flow += a.rout[u]
+			flow = tm.src
+			for _, u := range ups {
+				flow += rout[u]
 			}
 		}
-		a.argmin[j] = am
-		r := flow
-		capped := cap < flow
-		if capped {
-			r = cap
-		}
-		a.capped[j] = capped
-		a.dead[j] = cap == 0 && flow == 0
-		a.rin[j] = r
-		a.rout[j] = r * a.mult[j]
+		argmin[k] = am
+		r := lessOr(cap, flow)
+		capped[k] = cap < flow
+		dead[k] = cap == 0 && flow == 0
+		rin[k] = r
+		rout[k] = r * tm.mult
 	}
 	a.evals++
 }
 
-// objective evaluates Σ w_j·U(r̄_out,j) over the last forward pass.
+// positive returns v when v > 0 and +0 otherwise (NaN included), and
+// lessOr returns a when a < b and b otherwise: exactly the branches
+// `if v > 0 {…}` and `if a < b {…}` pick, selected on the bits so they
+// compile to conditional moves. Which side wins changes from PE to PE
+// with the iterate, and a mispredicted jump per PE costs the forward pass
+// more than the rest of the PE's update.
+func positive(v float64) float64 {
+	var mask uint64
+	if v > 0 {
+		mask = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & mask)
+}
+
+func lessOr(a, b float64) float64 {
+	ab, bb := math.Float64bits(a), math.Float64bits(b)
+	if a < b {
+		bb = ab
+	}
+	return math.Float64frombits(bb)
+}
+
+// objective evaluates Σ w_j·U(r̄_out,j) over the last forward pass, summed
+// in PE-id order.
 func (a *adjoint) objective(util Utility) float64 {
 	obj := 0.0
-	for j := range a.t.PEs {
-		if w := a.t.PEs[j].Weight; w > 0 {
-			obj += w * util.Value(a.rout[j])
-		}
+	for _, k := range a.weighted {
+		obj += a.terms[k].weight * util.Value(a.rout[k])
 	}
 	return obj
+}
+
+// rates returns the last forward pass's input and output rates indexed by
+// PE id.
+func (a *adjoint) rates() (rin, rout []float64) {
+	rin = make([]float64, len(a.order))
+	rout = make([]float64, len(a.order))
+	for k, j := range a.order {
+		rin[j] = a.rin[k]
+		rout[j] = a.rout[k]
+	}
+	return rin, rout
 }
 
 // eval is one forward propagation plus the objective — the line-search
@@ -271,64 +357,74 @@ func (a *adjoint) evalGrad(x []float64, util Utility, grad []float64) float64 {
 // receives a full copy of the upstream output, so copy-fanout adjoints
 // sum on the producer).
 func (a *adjoint) backward(x []float64, util Utility, grad []float64) {
-	t := a.t
-	for i := range a.adj {
-		a.adj[i] = 0
+	terms, upPos, extra := a.terms, a.upPos, a.extra
+	n := len(terms) - 1
+	rout, capped, dead, argmin, adj := a.rout[:n], a.capped[:n], a.dead[:n], a.argmin[:n], a.adj[:n]
+	for i := range adj {
+		adj[i] = 0
 	}
 	for i := range grad {
 		grad[i] = 0
 	}
-	for k := len(a.order) - 1; k >= 0; k-- {
-		j := a.order[k]
-		pe := &t.PEs[j]
-		ad := a.adj[j]
-		if w := pe.Weight; w > 0 {
-			ad += w * utilityDeriv(util, a.rout[j])
+	for k := n - 1; k >= 0; k-- {
+		tm, next := &terms[k], &terms[k+1]
+		ad := adj[k]
+		if w := tm.weight; w > 0 {
+			ad += w * utilityDeriv(util, rout[k])
 		}
-		if ad == 0 || a.dead[j] {
+		if ad == 0 || dead[k] {
 			continue
 		}
-		adIn := ad * a.mult[j]
-		if a.capped[j] {
-			if a.slotOf == nil {
-				if x[j]/a.cost[j]-pe.Overhead >= 0 {
-					grad[j] += adIn / a.cost[j]
-				}
-				continue
+		adIn := ad * tm.mult
+		if capped[k] {
+			if x[tm.slot]/tm.cost-tm.over >= 0 {
+				grad[tm.slot] += adIn / tm.cost
 			}
-			for _, i := range a.slotOf[j] {
-				if x[i]/a.cost[j]-pe.Overhead >= 0 {
-					grad[i] += adIn / a.cost[j]
+			for _, i := range extra[tm.extra:next.extra] {
+				if x[i]/tm.cost-tm.over >= 0 {
+					grad[i] += adIn / tm.cost
 				}
 			}
 			continue
 		}
-		if pe.Join {
-			if u := a.argmin[j]; u >= 0 {
-				a.adj[u] += adIn
+		if tm.join {
+			if u := argmin[k]; u >= 0 {
+				adj[u] += adIn
 			}
 			continue
 		}
-		for _, u := range t.Up(j) {
-			a.adj[u] += adIn
+		for _, u := range upPos[tm.up:next.up] {
+			adj[u] += adIn
 		}
 	}
 }
 
-// projector reuses the scratch behind the per-node simplex projections.
-// The ascent loop projects every trial point, and the package-level
-// projectNodes/projectSimplex pair allocated gather buffers, a sort copy
-// and an output vector per node per call — per-iteration garbage that
-// dominated solver allocations. A projector also precomputes the node→PE
-// index once: Topology.OnNode scans all p PEs per node, which made one
-// projection O(p·nodes).
+// projector holds the per-node simplex projections' index and scratch.
+// The ascent loop projects every trial point, so the gather buffer and
+// the node→PE index (Topology.OnNode scans all p PEs per node) are built
+// once and reused: a projection allocates nothing and costs O(p).
+//
+// The threshold search needs each over-budget group's values in
+// descending order. Consecutive projections see nearly the same values
+// (line-search trials and ascent iterates move by small steps), so the
+// projector keeps every group's descending permutation from its last
+// search and re-sorts it by insertion, which costs O(n) when the order
+// barely moved. The values it walks, and so θ, are exactly those of a
+// fresh sort.
 type projector struct {
 	// groups[g] lists the decision-vector indices sharing node g's
 	// capacity simplex.
 	groups [][]int
 	vals   []float64 // gather scratch
-	sorted []float64 // descending sort scratch for the threshold search
+	// order[g] is group g's descending permutation (positions within
+	// groups[g]) from its last threshold search.
+	order [][]int32
 }
+
+// sortBudget bounds the insertion re-sort at sortBudget·n element shifts
+// per group; a permutation that moved further than that (the first search
+// of a group, a large step) is finished by a general sort instead.
+const sortBudget = 8
 
 // newNodeProjector indexes the plain solver's per-node PE groups.
 func newNodeProjector(t *graph.Topology) *projector {
@@ -348,13 +444,15 @@ func newSlotProjector(nodeSlots [][]int) *projector {
 // project projects x's entries, group by group, onto {v ≥ 0, Σ v ≤
 // headroom}. Allocation-free after the scratch warms up.
 func (pj *projector) project(x []float64, headroom float64) {
-	for _, ids := range pj.groups {
+	if len(pj.order) != len(pj.groups) {
+		pj.order = make([][]int32, len(pj.groups))
+	}
+	for g, ids := range pj.groups {
 		if len(ids) == 0 {
 			continue
 		}
 		if cap(pj.vals) < len(ids) {
 			pj.vals = make([]float64, 0, 2*len(ids))
-			pj.sorted = make([]float64, 0, 2*len(ids))
 		}
 		vals := pj.vals[:0]
 		sum := 0.0
@@ -372,7 +470,7 @@ func (pj *projector) project(x []float64, headroom float64) {
 			}
 			continue
 		}
-		theta, feasible := simplexThreshold(vals, headroom, pj.sorted[:0])
+		theta, feasible := pj.threshold(g, vals, headroom)
 		for i, id := range ids {
 			if !feasible {
 				x[id] = 0
@@ -387,17 +485,24 @@ func (pj *projector) project(x []float64, headroom float64) {
 	}
 }
 
-// simplexThreshold computes the Euclidean simplex-projection threshold θ
-// (Duchi et al. 2008) for v onto {x ≥ 0, Σ x = z} using the provided sort
-// scratch. feasible is false when every component clips to zero.
-func simplexThreshold(v []float64, z float64, scratch []float64) (theta float64, feasible bool) {
-	u := append(scratch, v...)
-	sort.Float64s(u) // ascending; walk it backwards for the descending scan
-	n := len(u)
+// threshold computes the Euclidean simplex-projection threshold θ (Duchi
+// et al. 2008) for group g's values v onto {x ≥ 0, Σ x = z}, scanning v in
+// descending order through the group's cached permutation. feasible is
+// false when every component clips to zero.
+func (pj *projector) threshold(g int, v []float64, z float64) (theta float64, feasible bool) {
+	perm := pj.order[g]
+	if len(perm) != len(v) {
+		perm = make([]int32, len(v))
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		pj.order[g] = perm
+	}
+	sortDescending(perm, v)
 	var css, cssAtRho float64
 	rho := -1
-	for i := 0; i < n; i++ {
-		ui := u[n-1-i]
+	for i, k := range perm {
+		ui := v[k]
 		css += ui
 		if ui-(css-z)/float64(i+1) > 0 {
 			rho = i
@@ -408,4 +513,41 @@ func simplexThreshold(v []float64, z float64, scratch []float64) (theta float64,
 		return 0, false
 	}
 	return (cssAtRho - z) / float64(rho+1), true
+}
+
+// before reports whether a sorts ahead of b in descending order. It is
+// the reverse of sort.Float64s' order, NaN included (NaN sorts last), so
+// the sorted value sequence is the one a descending walk of
+// sort.Float64s' output yields.
+func before(a, b float64) bool {
+	return b < a || (b != b && a == a)
+}
+
+// sortDescending re-sorts perm so v[perm[i]] is descending, by insertion
+// from perm's current order, falling back to a general sort once the
+// shifts exceed sortBudget per element.
+func sortDescending(perm []int32, v []float64) {
+	budget := sortBudget * len(perm)
+	for i := 1; i < len(perm); i++ {
+		k := perm[i]
+		x := v[k]
+		j := i
+		for j > 0 && before(x, v[perm[j-1]]) {
+			perm[j] = perm[j-1]
+			j--
+		}
+		perm[j] = k
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(perm, func(a, b int32) int {
+				switch {
+				case before(v[a], v[b]):
+					return -1
+				case before(v[b], v[a]):
+					return 1
+				}
+				return 0
+			})
+			return
+		}
+	}
 }

@@ -590,46 +590,3 @@ func TestSolveDeadlineStillHonoredFD(t *testing.T) {
 		t.Errorf("50ms deadline on a p=400 finite-difference solve not reported exceeded")
 	}
 }
-
-// BenchmarkSolveAllocs is the solver allocation gate: with the adjoint
-// workspace and projection scratch in place, a full analytic Solve should
-// allocate only its setup (workspace + result vectors), independent of the
-// iteration count. Evals/op is reported so the propagation budget of a
-// solve is tracked alongside its allocations.
-func BenchmarkSolveAllocs(b *testing.B) {
-	topo, err := graph.Generate(graph.DefaultGenConfig(200, 20, 17))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{Utility: LinearUtility{}, MinShare: 0.02, MaxIters: 500}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var evals, iters int
-	for i := 0; i < b.N; i++ {
-		alloc, err := Solve(topo, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		evals += alloc.Evals
-		iters += alloc.Iterations
-	}
-	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
-	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
-}
-
-// BenchmarkSolveElasticAllocs tracks the elastic solver the same way.
-func BenchmarkSolveElasticAllocs(b *testing.B) {
-	topo := richDAG(b, 21, 60, 8, true)
-	cfg := Config{Utility: LinearUtility{}, MaxIters: 500}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var evals int
-	for i := 0; i < b.N; i++ {
-		ea, err := SolveElastic(topo, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		evals += ea.Evals
-	}
-	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
-}

@@ -408,14 +408,13 @@ func Solve(t *graph.Topology, cfg Config) (*Allocation, error) {
 	}
 
 	if cfg.MinShare > 0 {
-		applyMinShare(t, best, cfg.MinShare, cfg.Headroom)
+		applyMinShare(pj.groups, best, cfg.MinShare, cfg.Headroom)
 	}
 	// The returned Objective is recomputed from the FINAL allocation:
 	// applyMinShare mutates best after bestObj was captured, so echoing
 	// bestObj could overstate what the returned CPU vector achieves.
 	ws.forward(best)
-	rin := append([]float64(nil), ws.rin...)
-	rout := append([]float64(nil), ws.rout...)
+	rin, rout := ws.rates()
 	obj, wt := 0.0, 0.0
 	for j := 0; j < p; j++ {
 		if w := t.PEs[j].Weight; w > 0 {
@@ -437,15 +436,15 @@ func Solve(t *graph.Topology, cfg Config) (*Allocation, error) {
 	}, nil
 }
 
-// applyMinShare raises every allocation to at least minShare of its node.
-// When the floors push a node over budget, only the above-floor
-// allocations are scaled down (iterating in case scaling drops some of
-// them to the floor), so the floor is a hard guarantee as long as it is
-// feasible (#PEs × minShare ≤ headroom); an infeasible floor falls back to
-// an equal split.
-func applyMinShare(t *graph.Topology, c []float64, minShare, headroom float64) {
-	for n := 0; n < t.NumNodes; n++ {
-		ids := t.OnNode(sdo.NodeID(n))
+// applyMinShare raises every allocation to at least minShare of its node;
+// nodes[n] lists node n's PE ids in ascending order (the plain
+// projector's groups). When the floors push a node over budget, only the
+// above-floor allocations are scaled down (iterating in case scaling
+// drops some of them to the floor), so the floor is a hard guarantee as
+// long as it is feasible (#PEs × minShare ≤ headroom); an infeasible floor
+// falls back to an equal split.
+func applyMinShare(nodes [][]int, c []float64, minShare, headroom float64) {
+	for _, ids := range nodes {
 		if len(ids) == 0 {
 			continue
 		}
@@ -549,22 +548,6 @@ func propagate(t *graph.Topology, order []sdo.PEID, c []float64) (rin, rout []fl
 // node index and scratch persist across the ascent loop.
 func projectNodes(t *graph.Topology, c []float64, headroom float64) {
 	newNodeProjector(t).project(c, headroom)
-}
-
-// projectSimplex returns the Euclidean projection of v onto
-// {x ≥ 0, Σ x = z} (Duchi et al. 2008).
-func projectSimplex(v []float64, z float64) []float64 {
-	out := make([]float64, len(v))
-	theta, feasible := simplexThreshold(v, z, nil)
-	if !feasible {
-		return out
-	}
-	for i, x := range v {
-		if x-theta > 0 {
-			out[i] = x - theta
-		}
-	}
-	return out
 }
 
 // Propagate exposes the fluid propagation for external consumers (the

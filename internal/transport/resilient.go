@@ -211,13 +211,21 @@ type ResilientConn struct {
 	cur    *Conn
 	gen    int // bumped on every connect; stale failures are ignored
 	closed bool
+	// dialing is set while the manager is inside dial, which Close cannot
+	// interrupt: on the accepting side dial is Listener.Accept, blocked
+	// until the next peer arrives. Close does not wait for a dialing
+	// manager; the manager finds the link closed when dial returns,
+	// closes whatever connection it got and exits.
+	dialing bool
+	// managerDone is closed when the manager goroutine exits.
+	managerDone chan struct{}
 
 	// wroteOK is set by the writer after any successful wire write and
 	// consumed by the manager when choosing the redial delay: only a
 	// generation that proved useful earns a backoff reset.
 	wroteOK atomic.Bool
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the writer goroutine
 
 	statsMu        sync.Mutex
 	sent           int64
@@ -240,9 +248,11 @@ func NewResilientConn(dial DialFunc, opts ResilientOptions) *ResilientConn {
 		doorbell: make(chan struct{}, 1),
 		ctl:      make(chan outFrame, ctlLaneCap),
 		done:     make(chan struct{}),
+
+		managerDone: make(chan struct{}),
 	}
 	rc.cond = sync.NewCond(&rc.mu)
-	rc.wg.Add(2)
+	rc.wg.Add(1)
 	go rc.manage()
 	go rc.write()
 	return rc
@@ -548,9 +558,16 @@ func (rc *ResilientConn) Stats() LinkStats {
 	}
 }
 
-// Close tears the link down: the current connection is closed, both
-// goroutines exit, queued frames are counted as dropped, and pending
+// Close tears the link down: the current connection is closed, the
+// writer exits, queued frames are counted as dropped, and pending
 // Recv/sends return. Safe to call more than once.
+//
+// Close returns without waiting for a manager blocked inside the dial
+// function (an accept-side link whose peer has gone sits in
+// Listener.Accept until the next peer connects or the listener closes).
+// No connection is installed after Close: when that dial returns, the
+// manager closes the connection it got, if any, and exits. A manager
+// that is not dialing has exited by the time Close returns.
 func (rc *ResilientConn) Close() error {
 	rc.mu.Lock()
 	if rc.closed {
@@ -562,10 +579,14 @@ func (rc *ResilientConn) Close() error {
 		rc.cur.Close()
 		rc.cur = nil
 	}
+	dialing := rc.dialing
 	rc.cond.Broadcast()
 	rc.mu.Unlock()
 	close(rc.done)
 	rc.wg.Wait()
+	if !dialing {
+		<-rc.managerDone
+	}
 	// Frames stranded in either lane never reached the wire. The ring is
 	// closed first so a producer racing Close is refused rather than
 	// admitted after the drain; its post-Close drain contract guarantees
@@ -667,7 +688,7 @@ func (rc *ResilientConn) pause(d time.Duration) bool {
 // the delay; resetting on dial success alone would redial such a peer in
 // a tight loop.
 func (rc *ResilientConn) manage() {
-	defer rc.wg.Done()
+	defer close(rc.managerDone)
 	backoff := rc.opts.BackoffMin
 	everConnected := false
 	barren := false // a dial was attempted and no write has succeeded since
@@ -696,15 +717,26 @@ func (rc *ResilientConn) manage() {
 		}
 		barren = true
 
-		conn, err := rc.dial()
-		if err != nil {
-			continue
-		}
 		rc.mu.Lock()
 		if rc.closed {
 			rc.mu.Unlock()
-			conn.Close()
 			return
+		}
+		rc.dialing = true
+		rc.mu.Unlock()
+		conn, err := rc.dial()
+		rc.mu.Lock()
+		rc.dialing = false
+		if rc.closed {
+			rc.mu.Unlock()
+			if err == nil {
+				conn.Close()
+			}
+			return
+		}
+		if err != nil {
+			rc.mu.Unlock()
+			continue
 		}
 		rc.cur = conn
 		rc.gen++

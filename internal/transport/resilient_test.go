@@ -523,3 +523,73 @@ func TestControlLaneSurvivesDataFlood(t *testing.T) {
 		t.Errorf("control-lane overflow not counted: %+v", st)
 	}
 }
+
+// TestResilientAcceptSideCloseWhileAccepting is the accept-side Close
+// regression: once the peer has gone, the manager re-dials into
+// Listener.Accept, which blocks until another peer connects. Close must
+// return promptly anyway, with the listener still open, and the manager
+// must close the connection that Accept eventually hands it instead of
+// installing it.
+func TestResilientAcceptSideCloseWhileAccepting(t *testing.T) {
+	lis, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	var accepts atomic.Int64
+	rc := NewResilientConn(func() (*Conn, error) {
+		accepts.Add(1)
+		return lis.Accept()
+	}, ResilientOptions{BackoffMin: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+	// A Serve-style reader: it sees the peer's close and retires the conn.
+	go func() {
+		for {
+			if _, err := rc.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+
+	peer, err := Dial(lis.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		_, connected, _ := rc.peerState()
+		return connected
+	}, "accept side installed the first connection")
+	peer.Close()
+	waitFor(t, 5*time.Second, func() bool { return accepts.Load() >= 2 }, "manager re-entered Accept after the peer closed")
+
+	closed := make(chan struct{})
+	go func() {
+		rc.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung while the manager was blocked in Accept")
+	}
+
+	// The next peer completes the blocked Accept. The closed link must not
+	// install that connection: the manager closes it unannounced (no
+	// hello) and exits.
+	late, err := Dial(lis.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	late.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if msg, err := late.Recv(); !errors.Is(err, io.EOF) {
+		t.Errorf("late peer read (%v, %v), want io.EOF from a connection closed unannounced", msg.Kind, err)
+	}
+	select {
+	case <-rc.managerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("manager did not exit after its Accept returned on a closed link")
+	}
+	if _, connected, _ := rc.peerState(); connected {
+		t.Error("a connection was installed after Close")
+	}
+}

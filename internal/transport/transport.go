@@ -38,6 +38,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -601,10 +602,12 @@ func decodeReplicaTargets(body []byte) (ReplicaTargets, error) {
 	}
 	rt := ReplicaTargets{Epoch: binary.BigEndian.Uint64(body[0:8])}
 	peCount := binary.BigEndian.Uint32(body[8:12])
-	if peCount > maxFrame/4 {
+	rest := body[12:]
+	// Every row carries at least its 4-byte slot count, so a count the
+	// body cannot hold is rejected before the row index is allocated.
+	if int(peCount) > len(rest)/4 {
 		return ReplicaTargets{}, fmt.Errorf("transport: replica-targets PE count %d out of range", peCount)
 	}
-	rest := body[12:]
 	rt.CPU = make([][]float64, peCount)
 	for j := uint32(0); j < peCount; j++ {
 		if len(rest) < 4 {
@@ -822,10 +825,11 @@ func (c *Conn) Recv() (Message, error) {
 		}
 		bp := getBuf()
 		if cap(*bp) < int(n) {
-			*bp = make([]byte, n)
+			*bp = make([]byte, 0, min(int(n), readStep))
 		}
-		body := (*bp)[:n]
-		if _, err := io.ReadFull(c.r, body); err != nil {
+		body, err := readBody(c.r, (*bp)[:0], int(n))
+		if err != nil {
+			*bp = body[:0]
 			putBuf(bp)
 			return Message{}, fmt.Errorf("transport: read body: %w", err)
 		}
@@ -840,6 +844,28 @@ func (c *Conn) Recv() (Message, error) {
 		}
 		return msg, nil
 	}
+}
+
+// readStep bounds how far a frame body's buffer grows ahead of the bytes
+// actually received.
+const readStep = 64 << 10
+
+// readBody reads an n-byte frame body into buf (length 0), growing it at
+// most readStep bytes ahead of what has arrived: a header may claim up to
+// maxFrame bytes, and a peer that sends only the header must not make the
+// reader allocate that much. A body that fits buf's capacity is one read.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), readStep))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // decodeFrame decodes one frame body. handled=true means the frame was
